@@ -26,8 +26,8 @@ type Config struct {
 	// engines are directly comparable. Nil disables tracing.
 	Tracer *obs.Tracer
 	// Checkpoint enables the Spark-checkpoint baseline: stage outputs
-	// are asynchronously checkpointed to a stable-storage service on
-	// the reserved nodes, and children pull from that service. Without
+	// are asynchronously checkpointed to a commit store served from the
+	// reserved nodes, and children pull from that service. Without
 	// it, executors run on both container kinds and lost partitions are
 	// recomputed through lineage (plain Spark).
 	Checkpoint bool
@@ -79,7 +79,12 @@ type evTaskDone struct {
 	Exec string
 }
 
-type evCheckpointed struct{ ref taskRef }
+// evCheckpointed reports that every output block of a task landed in
+// stable storage; chunks maps each block id to its content address.
+type evCheckpointed struct {
+	ref    taskRef
+	chunks map[string]string
+}
 
 type evTaskFailed struct {
 	ref   taskRef
@@ -125,7 +130,7 @@ type sTask struct {
 	exec    string
 	attempt int
 	fails   int
-	ck      bool // checkpoint landed (checkpoint mode only)
+	ck      map[string]string // block id → content address once the checkpoint landed
 }
 
 type sStageRun struct {
@@ -155,8 +160,9 @@ type master struct {
 	stages []*sStageRun
 
 	driverStore *storage.LocalStore
-	driverCk    *storage.Client
-	ckSvc       *storage.Service
+	driverCk    *storage.CommitClient
+	ckStore     *storage.CommitStore
+	ckSvc       *storage.CommitService
 
 	collecting bool
 	finished   bool
@@ -209,8 +215,8 @@ func Run(ctx context.Context, cl *cluster.Cluster, g *dag.Graph, cfg Config) (*R
 		return nil, err
 	}
 
-	// Checkpoint mode: the reserved containers host the stable-storage
-	// service instead of executors (§5.1.2: "uses reserved containers
+	// Checkpoint mode: the reserved containers serve a commit store
+	// instead of hosting executors (§5.1.2: "uses reserved containers
 	// to run a non-replicated GlusterFS cluster").
 	if cfg.Checkpoint {
 		var nodes []*simnet.Node
@@ -220,15 +226,17 @@ func Run(ctx context.Context, cl *cluster.Cluster, g *dag.Graph, cfg Config) (*R
 		if len(nodes) == 0 {
 			return nil, fmt.Errorf("sparklike: checkpoint mode needs reserved containers")
 		}
-		m.ckSvc = storage.NewServiceDisk(nodes, cfg.StorageDiskBW)
+		m.ckStore = storage.NewCommitStore()
+		m.ckSvc = storage.NewCommitService(m.ckStore, nodes, cfg.StorageDiskBW)
 		if err := m.ckSvc.Start(); err != nil {
 			return nil, err
 		}
-		// Pooled transport: checkpoint traffic reuses one stream per
-		// storage node instead of dialing per block.
+		defer m.ckSvc.Close()
+		// Pooled transport: checkpoint traffic reuses idle streams to
+		// the storage nodes instead of dialing per block.
 		ckt := storage.NewPoolTransport(m.net, "master")
 		defer ckt.Close()
-		m.driverCk = storage.NewClientTransport(ckt, m.ckSvc)
+		m.driverCk = storage.NewCommitClient(ckt, m.ckSvc.NodeIDs())
 	}
 
 	start := time.Now()
@@ -248,8 +256,8 @@ loop:
 	if m.failErr != nil {
 		return nil, m.failErr
 	}
-	if m.ckSvc != nil {
-		met.Gauge(metrics.GaugeStorageUsedBytes).Set(m.ckSvc.UsedBytes())
+	if m.ckStore != nil {
+		met.Gauge(metrics.GaugeStorageUsedBytes).Set(m.ckStore.Stats().UsedBytes)
 	}
 	res := &Result{Plan: plan, Metrics: met.Snapshot(jct, timedOut)}
 	if timedOut {
@@ -299,11 +307,11 @@ func (m *master) onLaunched(c *cluster.Container) {
 	if m.cfg.Checkpoint && c.Kind == cluster.Reserved {
 		return
 	}
-	var ck *storage.Client
+	var ck *storage.CommitClient
 	if m.ckSvc != nil {
 		// Per-executor pooled transport; its streams die with the
 		// container's node, so eviction cleans up naturally.
-		ck = storage.NewClientTransport(storage.NewPoolTransport(m.net, c.ID), m.ckSvc)
+		ck = storage.NewCommitClient(storage.NewPoolTransport(m.net, c.ID), m.ckSvc.NodeIDs())
 	}
 	ex, err := newExecutor(c.ID, c.Node, m.net, m.plan, m.cfg, m.met, m.events, ck, c.CPU)
 	if err != nil {
@@ -353,7 +361,7 @@ func (m *master) onGone(c *cluster.Container) {
 			switch {
 			case t.state == tRunning:
 				m.requeue(s.ps.ID, i, t)
-			case t.state == tDone && !(m.cfg.Checkpoint && t.ck):
+			case t.state == tDone && t.ck == nil:
 				m.requeue(s.ps.ID, i, t)
 			}
 		}
@@ -373,7 +381,7 @@ func removeString(s []string, v string) []string {
 func (m *master) requeue(stage, index int, t *sTask) {
 	t.state = tWaiting
 	t.exec = ""
-	t.ck = false
+	t.ck = nil
 	t.attempt++
 	m.met.RelaunchedTasks.Add(1)
 	m.tr.Emit(obs.Event{Kind: obs.TaskRelaunched, Stage: stage, Task: index, Attempt: t.attempt})
@@ -433,7 +441,7 @@ func (m *master) onCheckpointed(e evCheckpointed) {
 	if t == nil || t.state != tDone {
 		return
 	}
-	t.ck = true
+	t.ck = e.chunks
 	m.tr.Emit(obs.Event{Kind: obs.PushCommitted, Stage: e.ref.Stage, Task: e.ref.Index,
 		Attempt: e.ref.Attempt, Exec: t.exec, Note: "checkpoint"})
 }
@@ -491,7 +499,7 @@ func (m *master) onFetchFailed(e evFetchFailed) {
 					continue
 				}
 				for i, t := range s.tasks {
-					if t.exec == e.Owner && t.state == tDone && !(m.cfg.Checkpoint && t.ck) {
+					if t.exec == e.Owner && t.state == tDone && t.ck == nil {
 						m.requeue(s.ps.ID, i, t)
 					}
 				}
@@ -513,7 +521,7 @@ func (m *master) onFetchFailed(e evFetchFailed) {
 	if pt.state == tDone {
 		available := false
 		if m.cfg.Checkpoint {
-			available = pt.ck || m.plan.Stages[e.FromStage].Driver
+			available = pt.ck != nil || m.plan.Stages[e.FromStage].Driver
 		} else {
 			_, available = m.execs[pt.exec]
 			if m.plan.Stages[e.FromStage].Driver {
@@ -552,34 +560,41 @@ func (m *master) onCollected(e evCollected) {
 }
 
 // inputsReady reports whether task i of stage s can start, and gathers
-// the input locations.
-func (m *master) inputsReady(s *sStageRun, i int) (map[int][]string, bool) {
+// the input locations (and, in checkpoint mode, the content address of
+// every input block it reads from storage).
+func (m *master) inputsReady(s *sStageRun, i int) (map[int][]string, map[string]string, bool) {
 	locs := make(map[int][]string)
+	var chunks map[string]string
 	for _, si := range s.ps.Inputs {
-		if _, ok := locs[si.FromStage]; ok {
-			continue
-		}
 		ps := m.stages[si.FromStage]
-		need := allPartsOf(si.Dep, i, len(ps.tasks))
-		ls := make([]string, len(ps.tasks))
-		for _, p := range need {
+		ls := locs[si.FromStage]
+		if ls == nil {
+			ls = make([]string, len(ps.tasks))
+			locs[si.FromStage] = ls
+		}
+		for _, p := range allPartsOf(si.Dep, i, len(ps.tasks)) {
 			t := ps.tasks[p]
 			if t.state != tDone {
-				return nil, false
+				return nil, nil, false
 			}
 			switch {
 			case m.plan.Stages[si.FromStage].Driver:
 				ls[p] = driverLoc
 			case m.cfg.Checkpoint:
-				if !t.ck {
+				if t.ck == nil {
 					if _, alive := m.execs[t.exec]; !alive {
 						// The un-checkpointed output died with its
 						// executor; rewrite it.
 						m.requeue(si.FromStage, p, t)
 					}
-					return nil, false
+					return nil, nil, false
 				}
 				ls[p] = storageLoc
+				if chunks == nil {
+					chunks = make(map[string]string)
+				}
+				id := inputBlockID(si, p, i)
+				chunks[id] = t.ck[id]
 			default:
 				// Brief stale window only: executor losses are
 				// unregistered when the resource manager's
@@ -587,9 +602,8 @@ func (m *master) inputsReady(s *sStageRun, i int) (map[int][]string, bool) {
 				ls[p] = t.exec
 			}
 		}
-		locs[si.FromStage] = ls
 	}
-	return locs, true
+	return locs, chunks, true
 }
 
 func allPartsOf(dep dag.DepType, taskIdx, parentParts int) []int {
@@ -662,7 +676,7 @@ func (m *master) schedule() {
 			if t.state != tWaiting {
 				continue
 			}
-			locs, ready := m.inputsReady(s, i)
+			locs, chunks, ready := m.inputsReady(s, i)
 			if !ready {
 				continue
 			}
@@ -671,7 +685,7 @@ func (m *master) schedule() {
 				m.met.OriginalTasks.Add(int64(len(s.tasks)))
 				m.tr.Emit(obs.Event{Kind: obs.StageScheduled, Stage: s.ps.ID})
 			}
-			spec := sTaskSpec{Stage: s.ps.ID, Index: i, Attempt: t.attempt, InputLocs: locs}
+			spec := sTaskSpec{Stage: s.ps.ID, Index: i, Attempt: t.attempt, InputLocs: locs, Chunks: chunks}
 			if s.ps.Driver {
 				t.state = tRunning
 				t.exec = driverLoc
@@ -743,9 +757,10 @@ func (m *master) checkDone() {
 		return
 	}
 	type fetchSpec struct {
-		stage int
-		root  dag.VertexID
-		locs  []string
+		stage  int
+		root   dag.VertexID
+		locs   []string
+		chunks []string // content addresses of storage-resident partitions
 	}
 	var fetches []fetchSpec
 	for _, s := range m.stages {
@@ -753,6 +768,7 @@ func (m *master) checkDone() {
 			continue
 		}
 		locs := make([]string, len(s.tasks))
+		chunks := make([]string, len(s.tasks))
 		for i, t := range s.tasks {
 			if t.state != tDone {
 				return
@@ -761,18 +777,19 @@ func (m *master) checkDone() {
 			case s.ps.Driver:
 				locs[i] = driverLoc
 			case m.cfg.Checkpoint:
-				if !t.ck {
+				if t.ck == nil {
 					if _, alive := m.execs[t.exec]; !alive {
 						m.requeue(s.ps.ID, i, t)
 					}
 					return
 				}
 				locs[i] = storageLoc
+				chunks[i] = t.ck[wholeID(s.ps.ID, i)]
 			default:
 				locs[i] = t.exec
 			}
 		}
-		fetches = append(fetches, fetchSpec{stage: s.ps.ID, root: s.ps.Root, locs: locs})
+		fetches = append(fetches, fetchSpec{stage: s.ps.ID, root: s.ps.Root, locs: locs, chunks: chunks})
 	}
 
 	m.collecting = true
@@ -798,7 +815,7 @@ func (m *master) checkDone() {
 						err = errBlockNotFound
 					}
 				case storageLoc:
-					payload, err = driverCk.Get(wholeID(f.stage, p))
+					payload, err = driverCk.GetChunk(f.chunks[p])
 				default:
 					payload, err = fetchFrom(net, "master", owner, wholeID(f.stage, p))
 				}

@@ -28,7 +28,8 @@ const (
 
 var errBlockNotFound = errors.New("sparklike: block not found")
 
-// storageLoc is the location sentinel for checkpointed blocks.
+// storageLoc is the location sentinel for checkpointed blocks; the task
+// spec carries each such block's content address.
 const storageLoc = "@storage"
 
 // driverLoc is the location of driver-resident stage outputs.
@@ -37,6 +38,15 @@ const driverLoc = "master"
 func wholeID(stage, part int) string { return fmt.Sprintf("sw/%d/%d", stage, part) }
 func bucketID(stage, part int, consumer dag.VertexID, bucket int) string {
 	return fmt.Sprintf("sb/%d/%d/%d/%d", stage, part, consumer, bucket)
+}
+
+// inputBlockID names the block task `task` reads from partition part of
+// its input si: a shuffle bucket, or the whole partition.
+func inputBlockID(si SInput, part, task int) string {
+	if si.Dep == dag.ManyToMany {
+		return bucketID(si.FromStage, part, si.ToOp, task)
+	}
+	return wholeID(si.FromStage, part)
 }
 
 // serveStore answers block-fetch requests from a local store until stop.
@@ -112,6 +122,9 @@ type sTaskSpec struct {
 	// partition ("@storage" in checkpoint mode, "master" for driver
 	// stage outputs).
 	InputLocs map[int][]string
+	// Chunks maps each input block read from "@storage" to its content
+	// address in the commit store.
+	Chunks map[string]string
 }
 
 type taskRef struct {
@@ -136,15 +149,15 @@ type executor struct {
 	store  *storage.LocalStore
 	cache  *recache.Cache
 	flight *recache.Flight
-	cpu    *simnet.Limiter // nil = unlimited compute capacity
-	ck     *storage.Client // non-nil in checkpoint mode
+	cpu    *simnet.Limiter       // nil = unlimited compute capacity
+	ck     *storage.CommitClient // non-nil in checkpoint mode
 
 	stop     chan struct{}
 	stopOnce sync.Once
 }
 
 func newExecutor(id string, node *simnet.Node, net *simnet.Network, plan *SPlan, cfg Config,
-	met *metrics.Job, events chan<- event, ck *storage.Client, cpu *simnet.Limiter) (*executor, error) {
+	met *metrics.Job, events chan<- event, ck *storage.CommitClient, cpu *simnet.Limiter) (*executor, error) {
 
 	ex := &executor{
 		id: id, node: node, net: net, plan: plan, cfg: cfg, met: met,
@@ -214,7 +227,7 @@ type taskEnv struct {
 	cache     *recache.Cache
 	flight    *recache.Flight
 	cpu       *simnet.Limiter
-	ck        *storage.Client
+	ck        *storage.CommitClient
 	stop      <-chan struct{}
 	send      func(event)
 	stopped   func() bool
@@ -322,22 +335,26 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 
 	// Checkpoint mode: asynchronously copy the blocks to stable storage
 	// (§5.1.2, task-level asynchronous checkpointing at shuffle
-	// boundaries). The commit event fires only when all copies landed.
+	// boundaries), one chunk put per block. The commit event fires only
+	// when all copies landed, carrying each block's content address.
 	if env.ck != nil && !st.Driver {
 		go func() {
 			env.tr.Emit(obs.Event{Kind: obs.PushStarted, Stage: spec.Stage, Task: spec.Index,
 				Attempt: spec.Attempt, Exec: env.execID, Note: "checkpoint"})
+			chunks := make(map[string]string, len(ckBlocks))
 			for _, id := range ckBlocks {
 				payload, ok := env.store.Get(id)
 				if !ok {
 					return // evicted mid-checkpoint
 				}
-				if err := env.ck.Put(id, payload); err != nil {
+				hash, err := env.ck.PutChunk(payload)
+				if err != nil {
 					return
 				}
+				chunks[id] = hash
 				env.met.BytesCheckpointed.Add(int64(len(payload)))
 			}
-			env.send(evCheckpointed{ref: spec.ref()})
+			env.send(evCheckpointed{ref: spec.ref(), chunks: chunks})
 		}()
 	}
 	return nil
@@ -410,7 +427,7 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 		var payload []byte
 		var err error
 		for attempt := 0; ; attempt++ {
-			payload, err = env.fetchBlock(locs[part], id)
+			payload, err = env.fetchBlock(spec, locs[part], id)
 			if err == nil {
 				break
 			}
@@ -429,16 +446,16 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 		return data.DecodeAll(coder, payload)
 	}
 
-	fetchAllWhole := func() ([]data.Record, error) {
+	fetchAll := func() ([]data.Record, error) {
 		return fetchParallel(len(locs), func(p int) ([]data.Record, error) {
-			return fetchOne(p, wholeID(si.FromStage, p))
+			return fetchOne(p, inputBlockID(si, p, spec.Index))
 		})
 	}
 
 	var recs []data.Record
 	switch si.Dep {
 	case dag.OneToOne:
-		recs, err = fetchOne(spec.Index, wholeID(si.FromStage, spec.Index))
+		recs, err = fetchOne(spec.Index, inputBlockID(si, spec.Index, spec.Index))
 	case dag.OneToMany:
 		// Broadcasts are cached per executor, like Spark's broadcast
 		// variables: concurrent slots share one fetch.
@@ -455,7 +472,7 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 			env.tr.Emit(obs.Event{Kind: obs.CacheMiss, Stage: si.FromStage, Frag: -1,
 				Task: -1, Exec: env.execID, Note: "broadcast"})
 			recs, _, err = env.flight.Do(key, func() ([]data.Record, error) {
-				out, e := fetchAllWhole()
+				out, e := fetchAll()
 				if e != nil {
 					return nil, e
 				}
@@ -464,15 +481,11 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 			})
 			break
 		}
-		recs, err = fetchAllWhole()
-	case dag.ManyToOne:
-		recs, err = fetchAllWhole()
-	case dag.ManyToMany:
+		recs, err = fetchAll()
+	case dag.ManyToOne, dag.ManyToMany:
 		// Shuffle reads pull buckets from every map location with
 		// bounded parallelism, like Spark's shuffle fetcher.
-		recs, err = fetchParallel(len(locs), func(p int) ([]data.Record, error) {
-			return fetchOne(p, bucketID(si.FromStage, p, si.ToOp, spec.Index))
-		})
+		recs, err = fetchAll()
 	}
 	if err != nil {
 		return err
@@ -493,9 +506,9 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 	return nil
 }
 
-func (env taskEnv) fetchBlock(owner, id string) ([]byte, error) {
+func (env taskEnv) fetchBlock(spec sTaskSpec, owner, id string) ([]byte, error) {
 	if owner == storageLoc {
-		return env.ck.Get(id)
+		return env.ck.GetChunk(spec.Chunks[id])
 	}
 	return fetchFrom(env.net, env.execID, owner, id)
 }

@@ -7,7 +7,7 @@
 //
 // Checkpoint mode reproduces the paper's Spark-checkpoint baseline, which
 // encompasses Flint's ideas: every stage output is asynchronously copied
-// to a stable-storage service hosted on the reserved nodes, and child
+// to a commit store served from the reserved nodes, and child
 // stages pull their inputs from that storage, trading cascades for
 // checkpoint traffic funneled through a handful of storage nodes.
 package sparklike

@@ -39,8 +39,8 @@ const (
 
 // Commit-store gauge names: live size of the content-addressed commit
 // store the manager serves (chunk and manifest counts, resident bytes).
-// storage_used_bytes is also set by the sparklike engine from its
-// checkpoint Service, so both storage planes surface under one name.
+// storage_used_bytes is also set by the sparklike engine from the commit
+// store its checkpoints go to, so both engines surface under one name.
 const (
 	GaugeCASChunks        = "cas_chunks"
 	GaugeCASManifests     = "cas_manifests"

@@ -18,9 +18,10 @@ type Flight struct {
 }
 
 type flightCall struct {
-	done chan struct{}
-	recs []data.Record
-	err  error
+	done    chan struct{}
+	recs    []data.Record
+	err     error
+	waiters int // callers blocked on done; guarded by Flight.mu
 }
 
 // NewFlight returns an empty flight group.
@@ -34,6 +35,7 @@ func NewFlight() *Flight {
 func (f *Flight) Do(key Key, fn func() ([]data.Record, error)) (recs []data.Record, shared bool, err error) {
 	f.mu.Lock()
 	if c, ok := f.calls[key]; ok {
+		c.waiters++
 		f.mu.Unlock()
 		<-c.done
 		return c.recs, true, c.err
@@ -49,4 +51,15 @@ func (f *Flight) Do(key Key, fn func() ([]data.Record, error)) (recs []data.Reco
 	delete(f.calls, key)
 	f.mu.Unlock()
 	return c.recs, false, c.err
+}
+
+// Waiters reports how many callers are blocked on the in-flight fetch of
+// key (0 when none is in flight).
+func (f *Flight) Waiters(key Key) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.calls[key]; ok {
+		return c.waiters
+	}
+	return 0
 }

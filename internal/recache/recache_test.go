@@ -104,8 +104,8 @@ func TestEstimateSizeGrowsWithContent(t *testing.T) {
 
 func TestFlightDeduplicates(t *testing.T) {
 	f := NewFlight()
+	key := Key{Vertex: 7}
 	var calls atomic.Int32
-	var started atomic.Int32
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
 	const callers = 16
@@ -113,8 +113,7 @@ func TestFlightDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			started.Add(1)
-			recs, _, err := f.Do(Key{Vertex: 7}, func() ([]data.Record, error) {
+			recs, _, err := f.Do(key, func() ([]data.Record, error) {
 				calls.Add(1)
 				<-gate // hold the in-flight call until all callers queue up
 				return recsOfSize(3), nil
@@ -124,27 +123,20 @@ func TestFlightDeduplicates(t *testing.T) {
 			}
 		}()
 	}
-	for started.Load() < callers {
-		// Let every caller reach Do before releasing the first fetch.
-		runtimeGosched()
+	// Release the first fetch only once every other caller is blocked on
+	// it, so none can find the gate open and fetch again.
+	for f.Waiters(key) < callers-1 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()
-	// Callers queued while the first fetch was in flight must share it;
-	// only stragglers that had not yet called Do may fetch again (they
-	// find the gate open and return instantly).
 	if n := calls.Load(); n > 3 {
 		t.Errorf("fetch called %d times, want <=3", n)
 	}
-	shared := 0
-	_, wasShared, _ := f.Do(Key{Vertex: 7}, func() ([]data.Record, error) { return nil, nil })
-	if wasShared {
-		shared++
+	if n := f.Waiters(key); n != 0 {
+		t.Errorf("%d waiters left after the flight landed", n)
 	}
-	_ = shared
 }
-
-func runtimeGosched() { runtime.Gosched() }
 
 func TestFlightPropagatesErrors(t *testing.T) {
 	f := NewFlight()

@@ -75,7 +75,7 @@ func newCommitPlane(net *simnet.Network, store *storage.CommitStore, pool *connP
 		nodes = append(nodes, n)
 		ids = append(ids, id)
 	}
-	svc := storage.NewCommitService(store, nodes)
+	svc := storage.NewCommitService(store, nodes, 0)
 	if err := svc.Start(); err != nil {
 		for _, id := range ids {
 			net.RemoveNode(id)

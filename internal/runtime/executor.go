@@ -383,14 +383,16 @@ func (ex *Executor) deliverPush(f *pushFrame) bool {
 
 // StartReceiver registers and runs a reserved task (receiver) on this
 // executor. Called by the master's scheduler; reserved tasks are set up
-// before the stage's transient tasks launch (§3.2.3).
+// before the stage's transient tasks launch (§3.2.3). Ready is sent
+// before the receiver runs: a receiver with nothing to wait for finishes
+// at once, and the master drops a done event that overtakes its ready.
 func (ex *Executor) StartReceiver(spec recvSpec) {
 	r := newReceiver(ex, spec)
 	ex.mu.Lock()
 	ex.receivers[recvKey{Stage: spec.Stage, Gen: spec.Gen, Index: spec.Index}] = r
 	ex.mu.Unlock()
-	go r.run()
 	ex.send(evReceiverReady{Job: ex.job, Stage: spec.Stage, Gen: spec.Gen, Index: spec.Index})
+	go r.run()
 }
 
 // CancelReceiver tears down a receiver during stage restarts (§3.2.6).

@@ -448,6 +448,7 @@ func (jm *JobManager) onReceiverReady(j *jobRun, e evReceiverReady) {
 		// Tasks whose output is already in the commit store commit
 		// without launching (commitplane.go).
 		jm.applyTaskSkips(j, s)
+		jm.maybeFinishReceivers(j, s)
 	}
 }
 
@@ -569,7 +570,12 @@ func (jm *JobManager) onPullFailed(j *jobRun, e evPullFailed) {
 
 func (jm *JobManager) onReservedTaskDone(j *jobRun, e evReservedTaskDone) {
 	s := jm.stageAt(j, e.Stage, e.Gen)
-	if s == nil || s.status != sRunning || s.recvDone[e.Index] {
+	// A receiver with nothing to wait for (no senders) can finish while
+	// the stage's later receivers are still reporting ready; its done
+	// counts as soon as its own ready has landed, and the stage completes
+	// once every receiver is ready.
+	if s == nil || !(s.status == sRunning || s.status == sStartingReceivers && s.recvReady[e.Index]) ||
+		s.recvDone[e.Index] {
 		return
 	}
 	s.recvDone[e.Index] = true
@@ -580,7 +586,13 @@ func (jm *JobManager) onReservedTaskDone(j *jobRun, e evReservedTaskDone) {
 	jm.trackReceivers(j, -1)
 	j.tr.Emit(obs.Event{Kind: obs.TaskFinished, Stage: s.ps.ID, Frag: obs.ReservedFrag,
 		Task: e.Index, Exec: s.recvExecs[e.Index], Bytes: e.Bytes})
-	if s.nDone == len(s.recvExecs) {
+	jm.maybeFinishReceivers(j, s)
+}
+
+// maybeFinishReceivers completes a running stage once every receiver
+// has reported done.
+func (jm *JobManager) maybeFinishReceivers(j *jobRun, s *stageRun) {
+	if s.status == sRunning && s.nDone == len(s.recvExecs) {
 		s.status = sDone
 		j.unmarkRunnable(s)
 		jm.markStageDone(j, s)

@@ -59,6 +59,11 @@ type oracleScript struct {
 	// fragment task (0,0) seen by receiver 0, like a pull-mode receiver
 	// losing the sender's stored output.
 	pullFail bool
+	// eagerDones queues a zero-Expected receiver's done right behind its
+	// own ready instead of holding it until the stage's last ready: a
+	// receiver whose input fetch beats the stage's remaining ready
+	// events finishes while the stage is still starting receivers.
+	eagerDones bool
 
 	transients, reserveds, slots int
 }
@@ -91,9 +96,9 @@ type oracleDriver struct {
 	recvs     map[recvID]*oracleRecv
 	// pendingDones holds reserved-task-done events of zero-Expected
 	// receivers (stages with no transient fragments finalize right after
-	// their input fetch) until the stage's last ready lands, matching the
-	// production timing where the fetch takes at least one network round
-	// trip.
+	// their input fetch) until the stage's last ready lands, the usual
+	// production order since the fetch takes at least one network round
+	// trip; oracleScript.eagerDones scripts the other order.
 	pendingDones map[doneKey][]event
 
 	firstTransient, firstReserved string
@@ -184,10 +189,15 @@ func (x *oracleExec) StartReceiver(spec recvSpec) {
 		spec: spec, exec: x.id, processed: make(map[[2]int]bool),
 	}
 	if spec.Expected == 0 {
-		dk := doneKey{j.id, spec.Stage, spec.Gen}
-		d.pendingDones[dk] = append(d.pendingDones[dk], evReservedTaskDone{
+		done := evReservedTaskDone{
 			Job: j.id, Stage: spec.Stage, Gen: spec.Gen, Index: spec.Index, Exec: x.id, Bytes: 64,
-		})
+		}
+		if d.sc.eagerDones {
+			d.queue = append(d.queue, done)
+			return
+		}
+		dk := doneKey{j.id, spec.Stage, spec.Gen}
+		d.pendingDones[dk] = append(d.pendingDones[dk], done)
 	}
 }
 
@@ -543,6 +553,19 @@ func mustCompileOracle(t *testing.T, p *dataflow.Pipeline) *core.Plan {
 		t.Fatalf("compile: %v", err)
 	}
 	return plan
+}
+
+// TestSchedOracleEagerReceiverDones: receivers without senders that
+// finish before their stage's last ready must still complete the stage
+// (the master used to drop their done events and the job hung to its
+// deadline).
+func TestSchedOracleEagerReceiverDones(t *testing.T) {
+	testOracle(t, oracleScript{
+		plans:      []planMaker{mkMLR, mkALS},
+		weights:    []float64{1, 1},
+		eagerDones: true,
+		transients: 4, reserveds: 3, slots: 2,
+	})
 }
 
 func TestSchedOracleMR(t *testing.T) {

@@ -12,11 +12,13 @@ import (
 )
 
 // Content-addressed commit store (Pachyderm-style, DESIGN.md §14): the
-// versioned layer above the flat key→block stable store. Immutable
-// chunks are keyed by their content hash; commit manifests map a dataset
-// key to the ordered chunk hashes of each partition; chunks are
-// ref-counted by the manifests that reach them, so GC can only collect
-// chunks no live commit references.
+// one stable store of the evaluation environment. Immutable chunks are
+// keyed by their content hash; commit manifests map a dataset key to the
+// ordered chunk hashes of each partition; chunks are ref-counted by the
+// manifests that reach them, so GC can only collect chunks no live
+// commit references. Spark-checkpoint blocks are bare chunks: a block's
+// content address is its storage location, so a checkpoint write and a
+// read each cost one round trip and no manifest.
 //
 // One CommitStore outlives individual runs: the engine object is handed
 // from run to run (harness.Params.CommitStore, padorun -incremental)
@@ -31,6 +33,15 @@ const (
 	opCommit   = 'M'
 	opResolve  = 'R'
 	opUnpin    = 'U'
+)
+
+// Wire bounds. Names (manifest keys, chunk addresses) are short, and a
+// chunk payload travels as segments of at most chunkSegment bytes, so a
+// hostile length prefix makes a decoder allocate at most one name or one
+// segment ahead of the bytes it has actually read.
+const (
+	maxNameLen   = 1 << 10
+	chunkSegment = 64 << 10
 )
 
 // HashChunk returns the content address of a chunk: the lowercase hex
@@ -270,23 +281,37 @@ func (s *CommitStore) Stats() CommitStats {
 	}
 }
 
-// CommitService serves one CommitStore over the simulated network. The
-// nodes all answer for the same store — like the stable Service, several
-// nodes spread the transfer bandwidth while the key space stays single
-// and consistent — so clients route each operation by hash purely for
-// load spreading.
+// CommitService serves one CommitStore over the simulated network: the
+// stable storage on the reserved nodes (the GlusterFS/HDFS stand-in of
+// §5.1.2 that Spark-checkpoint writes through, and Pado's commit plane).
+// The nodes all answer for the same store, so the key space stays single
+// and consistent; clients route each operation by hash to spread the
+// transfer load — and the aggregate disk and link bandwidth bound it,
+// which is the bottleneck the paper attributes to checkpoint-based
+// recovery.
 type CommitService struct {
 	store *CommitStore
 	nodes []*simnet.Node
+	disks []*simnet.Limiter // nil entries = unlimited disk
 	stop  chan struct{}
 
 	mu      sync.Mutex
 	started bool
 }
 
-// NewCommitService creates a service exposing store on the given nodes.
-func NewCommitService(store *CommitStore, nodes []*simnet.Node) *CommitService {
-	return &CommitService{store: store, nodes: nodes, stop: make(chan struct{})}
+// NewCommitService creates a service exposing store on the given nodes,
+// each limited by its own disk bandwidth (bytes/second; 0 = unlimited)
+// for the chunk payloads it writes and reads. A distributed filesystem
+// moves its blocks through disk, which is part of why the paper's
+// checkpoint baseline pays so dearly at the storage nodes (§5.2.1).
+func NewCommitService(store *CommitStore, nodes []*simnet.Node, diskBW int64) *CommitService {
+	disks := make([]*simnet.Limiter, len(nodes))
+	if diskBW > 0 {
+		for i := range disks {
+			disks[i] = simnet.NewLimiter(diskBW, 0)
+		}
+	}
+	return &CommitService{store: store, nodes: nodes, disks: disks, stop: make(chan struct{})}
 }
 
 // NodeIDs returns the serving node ids in service order.
@@ -306,12 +331,12 @@ func (s *CommitService) Start() error {
 		return fmt.Errorf("storage: commit service already started")
 	}
 	s.started = true
-	for _, n := range s.nodes {
+	for i, n := range s.nodes {
 		l, err := n.Listen()
 		if err != nil {
 			return fmt.Errorf("storage: commit node %s: %w", n.ID(), err)
 		}
-		go s.serve(l)
+		go s.serve(l, s.disks[i])
 	}
 	return nil
 }
@@ -329,17 +354,17 @@ func (s *CommitService) Close() {
 	}
 }
 
-func (s *CommitService) serve(l *simnet.Listener) {
+func (s *CommitService) serve(l *simnet.Listener, disk *simnet.Limiter) {
 	for {
 		conn, err := l.Accept(s.stop)
 		if err != nil {
 			return
 		}
-		go s.handleConn(conn)
+		go s.handleConn(conn, disk)
 	}
 }
 
-func (s *CommitService) handleConn(conn *simnet.Conn) {
+func (s *CommitService) handleConn(conn *simnet.Conn, disk *simnet.Limiter) {
 	defer conn.Close()
 	d := data.NewDecoder(conn)
 	e := data.NewEncoder(conn)
@@ -348,23 +373,24 @@ func (s *CommitService) handleConn(conn *simnet.Conn) {
 		if err != nil {
 			return
 		}
-		if err := s.handleOp(op, e, d); err != nil {
+		if err := s.handleOp(op, disk, e, d); err != nil {
 			return
 		}
 	}
 }
 
-// handleOp serves one request/response round; a non-nil error tears the
+// handleOp serves one request/response round, charging chunk payloads to
+// the serving node's disk (nil = unlimited); a non-nil error tears the
 // connection down (codec failure), while application-level misses answer
 // respNo and keep the connection usable.
-func (s *CommitService) handleOp(op byte, e *data.Encoder, d *data.Decoder) error {
+func (s *CommitService) handleOp(op byte, disk *simnet.Limiter, e *data.Encoder, d *data.Decoder) error {
 	switch op {
 	case opChunkPut:
-		hash, err := d.String()
+		hash, err := readName(d)
 		if err != nil {
 			return err
 		}
-		payload, err := d.Bytes(0)
+		payload, err := readChunk(d)
 		if err != nil {
 			return err
 		}
@@ -376,13 +402,16 @@ func (s *CommitService) handleOp(op byte, e *data.Encoder, d *data.Decoder) erro
 			}
 			return e.Flush()
 		}
+		if err := diskIO(disk, payload); err != nil {
+			return err
+		}
 		s.store.PutChunk(payload)
 		if err := e.Byte(respOK); err != nil {
 			return err
 		}
 		return e.Flush()
 	case opChunkGet:
-		hash, err := d.String()
+		hash, err := readName(d)
 		if err != nil {
 			return err
 		}
@@ -393,10 +422,13 @@ func (s *CommitService) handleOp(op byte, e *data.Encoder, d *data.Decoder) erro
 			}
 			return e.Flush()
 		}
+		if err := diskIO(disk, payload); err != nil {
+			return err
+		}
 		if err := e.Byte(respOK); err != nil {
 			return err
 		}
-		if err := e.Bytes(payload); err != nil {
+		if err := writeChunk(e, payload); err != nil {
 			return err
 		}
 		return e.Flush()
@@ -416,7 +448,7 @@ func (s *CommitService) handleOp(op byte, e *data.Encoder, d *data.Decoder) erro
 		}
 		return e.Flush()
 	case opResolve:
-		key, err := d.String()
+		key, err := readName(d)
 		if err != nil {
 			return err
 		}
@@ -439,7 +471,7 @@ func (s *CommitService) handleOp(op byte, e *data.Encoder, d *data.Decoder) erro
 		}
 		return e.Flush()
 	case opUnpin:
-		key, err := d.String()
+		key, err := readName(d)
 		if err != nil {
 			return err
 		}
@@ -451,6 +483,49 @@ func (s *CommitService) handleOp(op byte, e *data.Encoder, d *data.Decoder) erro
 	default:
 		return fmt.Errorf("storage: unknown commit op %q", op)
 	}
+}
+
+// diskIO waits until the disk has moved the payload (nil = unlimited).
+func diskIO(disk *simnet.Limiter, payload []byte) error {
+	if disk == nil {
+		return nil
+	}
+	return disk.Acquire(len(payload), nil)
+}
+
+func readName(d *data.Decoder) (string, error) {
+	b, err := d.Bytes(maxNameLen)
+	return string(b), err
+}
+
+// writeChunk sends a payload as full chunkSegment-byte segments ended by
+// one shorter (possibly empty) segment. A payload shorter than a segment
+// is a single plain length-prefixed byte string.
+func writeChunk(e *data.Encoder, payload []byte) error {
+	for {
+		n := min(len(payload), chunkSegment)
+		if err := e.Bytes(payload[:n]); err != nil {
+			return err
+		}
+		if n < chunkSegment {
+			return nil
+		}
+		payload = payload[n:]
+	}
+}
+
+// readChunk reads a payload written by writeChunk.
+func readChunk(d *data.Decoder) ([]byte, error) {
+	payload, err := d.Bytes(chunkSegment)
+	for seg := payload; err == nil && len(seg) == chunkSegment; {
+		if seg, err = d.Bytes(chunkSegment); err == nil {
+			payload = append(payload, seg...)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return payload, nil
 }
 
 func writeManifest(e *data.Encoder, m *Manifest) error {
@@ -474,7 +549,7 @@ func writeManifest(e *data.Encoder, m *Manifest) error {
 }
 
 func readManifest(d *data.Decoder) (*Manifest, error) {
-	key, err := d.String()
+	key, err := readName(d)
 	if err != nil {
 		return nil, err
 	}
@@ -485,8 +560,10 @@ func readManifest(d *data.Decoder) (*Manifest, error) {
 	if np > 1<<20 {
 		return nil, fmt.Errorf("storage: manifest with %d parts", np)
 	}
-	m := &Manifest{Key: key, Parts: make([][]string, np)}
-	for i := range m.Parts {
+	// Counts are only claims: slices grow with the entries actually
+	// read, never to a declared size up front.
+	m := &Manifest{Key: key, Parts: [][]string{}}
+	for i := uint64(0); i < np; i++ {
 		nc, err := d.Uvarint()
 		if err != nil {
 			return nil, err
@@ -494,12 +571,15 @@ func readManifest(d *data.Decoder) (*Manifest, error) {
 		if nc > 1<<20 {
 			return nil, fmt.Errorf("storage: manifest part with %d chunks", nc)
 		}
-		m.Parts[i] = make([]string, nc)
-		for j := range m.Parts[i] {
-			if m.Parts[i][j], err = d.String(); err != nil {
+		part := []string{}
+		for j := uint64(0); j < nc; j++ {
+			h, err := readName(d)
+			if err != nil {
 				return nil, err
 			}
+			part = append(part, h)
 		}
+		m.Parts = append(m.Parts, part)
 	}
 	return m, nil
 }
@@ -534,7 +614,7 @@ func (c *CommitClient) PutChunk(payload []byte) (string, error) {
 		if err := e.String(hash); err != nil {
 			return err
 		}
-		if err := e.Bytes(payload); err != nil {
+		if err := writeChunk(e, payload); err != nil {
 			return err
 		}
 		if err := e.Flush(); err != nil {
@@ -576,7 +656,7 @@ func (c *CommitClient) GetChunk(hash string) ([]byte, error) {
 		if resp != respOK {
 			return ErrNotFound{Key: hash}
 		}
-		payload, err = d.Bytes(0)
+		payload, err = readChunk(d)
 		return err
 	})
 	if err != nil {

@@ -102,7 +102,7 @@ func TestManifestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc := NewCommitService(store, []*simnet.Node{net.Node("cas0"), net.Node("cas1")})
+	svc := NewCommitService(store, []*simnet.Node{net.Node("cas0"), net.Node("cas1")}, 0)
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}

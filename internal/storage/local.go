@@ -1,8 +1,8 @@
 // Package storage provides the two storage substrates of the evaluation
 // environment: per-container local stores (destroyed on eviction, like a
-// transient container's local disk) and a remote stable-storage service
-// hosted on reserved nodes (the GlusterFS/HDFS stand-in that
-// Spark-checkpoint writes through).
+// transient container's local disk) and a content-addressed commit store
+// served from reserved nodes (the GlusterFS/HDFS stand-in that
+// Spark-checkpoint writes through, and Pado's commit plane).
 package storage
 
 import (
