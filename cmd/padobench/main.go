@@ -19,38 +19,26 @@ import (
 	"strings"
 	"time"
 
-	"pado/internal/core"
 	"pado/internal/harness"
 	"pado/internal/metrics"
-	"pado/internal/profile"
 	"pado/internal/runtime"
-	"pado/internal/storage"
-	"pado/internal/trace"
-	"pado/internal/vtime"
 )
 
 func main() {
+	shared := harness.RegisterFlags(flag.CommandLine, harness.FlagDefaults{
+		Engine: "pado", Workload: "mr", Rate: "none",
+		Transient: 40, Reserved: 5, ScaleMS: 60, Seed: 424242,
+	})
 	figure := flag.String("figure", "", "figure to regenerate: 5, 6, 7, 8, 9, or all")
-	single := flag.Bool("single", false, "run a single experiment")
-	engine := flag.String("engine", "pado", "single: engine (spark, spark-checkpoint, pado)")
-	workload := flag.String("workload", "mr", "single: workload (als, mlr, mr)")
-	rate := flag.String("rate", "none", "single: eviction rate (none, low, medium, high)")
-	transient := flag.Int("transient", 40, "transient containers")
-	reserved := flag.Int("reserved", 5, "reserved containers")
+	single := flag.Bool("single", false, "run a single experiment (-engine, -workload, -rate)")
 	size := flag.Float64("size", 1.0, "workload size factor")
 	tasks := flag.Int("tasks", 1,
 		"task fan-out multiplier: N times the partitions, each 1/N the records, "+
 			"holding data volume constant (control-plane scale cells)")
-	scaleMS := flag.Int("scale", 60, "wall milliseconds per paper minute")
 	timeout := flag.Float64("timeout", 90, "timeout in paper minutes")
-	seed := flag.Int64("seed", 424242, "experiment seed")
-	policy := flag.String("policy", "", "placement policy for the pado engine: "+
-		strings.Join(core.PolicyNames(), ", ")+" (default: paper)")
 	repeats := flag.Int("repeats", 1, "average each cell over this many seeds")
 	traceDir := flag.String("tracedir", "", "write per-run Chrome traces and timelines into this directory")
 	reportDir := flag.String("reportdir", "", "write one analyzer report JSON per experiment cell into this directory (render/diff with padoreport)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	jobs := flag.Int("jobs", 0, "run N concurrent jobs on one shared cluster (multi-job manager)")
 	mix := flag.String("mix", "mr,mr,mlr",
 		"multi-job: comma-separated workload[:weight] cycle assigned round-robin (e.g. mlr:8,mr,mr)")
@@ -62,9 +50,6 @@ func main() {
 	pull := flag.Bool("pado-pull", false, "Pado ablation: pull-based stage boundaries")
 	aggMax := flag.Int("pado-aggmax", 0, "Pado executor-level aggregation task limit (0 = default)")
 	padoReduce := flag.Int("pado-reduce", 0, "override Pado reduce parallelism")
-	httpAddr := flag.String("http", "",
-		"serve the live introspection plane on this address while the run is up "+
-			"(pado engine only; e.g. 127.0.0.1:7777, :0 picks a port; monitor with padotop)")
 	incr := flag.Bool("incr", false,
 		"delta-rerun cell: run pado/mr once to prime a commit store, change -incr-delta of the "+
 			"input, rerun against the store, and fail unless the rerun launched under 10% of the "+
@@ -73,7 +58,7 @@ func main() {
 		"with -incr: fraction of the input partitions changed between the two runs")
 	flag.Parse()
 
-	prof, err := profile.Start(*cpuProfile, *memProfile)
+	prof, err := shared.StartProfile()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -83,24 +68,16 @@ func main() {
 		}
 	}()
 
-	if _, err := core.PolicyByName(*policy); err != nil {
+	base, err := shared.Params()
+	if err != nil {
 		fatalf("%v", err)
 	}
-
-	base := harness.Params{
-		Transient:      *transient,
-		Reserved:       *reserved,
-		Size:           *size,
-		Tasks:          *tasks,
-		Scale:          vtime.NewScale(time.Duration(*scaleMS) * time.Millisecond),
-		TimeoutMinutes: *timeout,
-		Seed:           *seed,
-		Repeats:        *repeats,
-		Policy:         *policy,
-		TraceDir:       *traceDir,
-		ReportDir:      *reportDir,
-		HTTPAddr:       *httpAddr,
-	}
+	base.Size = *size
+	base.Tasks = *tasks
+	base.TimeoutMinutes = *timeout
+	base.Repeats = *repeats
+	base.TraceDir = *traceDir
+	base.ReportDir = *reportDir
 	if *noAgg || *noCache || *pull || *aggMax != 0 || *padoReduce != 0 {
 		base.PadoConfig = func(cfg *runtime.Config) {
 			cfg.DisablePartialAggregation = *noAgg
@@ -116,28 +93,17 @@ func main() {
 	}
 
 	if *jobs > 0 {
-		runJobs(base, *jobs, *mix, *rate, *stagger, *requireSpeedup)
+		runJobs(base, *jobs, *mix, *stagger, *requireSpeedup)
 		return
 	}
 
 	if *incr {
-		runIncr(base, *rate, *incrDelta)
+		runIncr(base, *incrDelta)
 		return
 	}
 
 	if *single {
-		p := base
-		var ok bool
-		if p.Engine, ok = parseEngine(*engine); !ok {
-			fatalf("unknown engine %q", *engine)
-		}
-		if p.Workload, ok = parseWorkload(*workload); !ok {
-			fatalf("unknown workload %q", *workload)
-		}
-		if p.Rate, ok = parseRate(*rate); !ok {
-			fatalf("unknown rate %q", *rate)
-		}
-		out, err := harness.Run(p)
+		out, err := harness.Run(base)
 		if err != nil {
 			fatalf("run: %v", err)
 		}
@@ -147,7 +113,7 @@ func main() {
 			fmt.Printf("  report: %s\n", out.ReportPath)
 		}
 		if out.TimedOut {
-			fatalf("FAIL: run timed out after %.0f paper minutes", p.TimeoutMinutes)
+			fatalf("FAIL: run timed out after %.0f paper minutes", base.TimeoutMinutes)
 		}
 		if out.Chaos != nil && !out.Chaos.OK() {
 			fatalf("FAIL: %d invariant violation(s)", len(out.Chaos.Violations))
@@ -187,43 +153,20 @@ func main() {
 
 // runIncr drives the delta-rerun cell: two pado/mr runs against one
 // commit store, the second with a fraction of the input changed. The
-// gate is the tentpole's acceptance bound — the rerun may launch fewer
-// than 10% of the priming run's tasks; everything else is served from
-// the store.
-func runIncr(base harness.Params, rate string, delta float64) {
+// gate is incremental re-execution's acceptance bound: the rerun may
+// launch fewer than 10% of the priming run's tasks; everything else is
+// served from the store.
+func runIncr(base harness.Params, delta float64) {
 	p := base
 	p.Engine = harness.EnginePado
 	p.Workload = harness.WorkloadMR
-	p.Repeats = 1 // repeats reseed the input, which would defeat the store
-	// The launch gate needs the traced obs.task_launched counter:
-	// OriginalTasks counts a stage's full task total at schedule time,
-	// before skips are applied, so it is blind to incremental reruns.
-	p.ForceTrace = true
-	var ok bool
-	if p.Rate, ok = parseRate(rate); !ok {
-		fatalf("unknown rate %q", rate)
-	}
-	store := storage.NewCommitStore()
-	p.CommitStore = store
-
-	prime := p
-	prime.ReportDir = "" // the cell's report is the rerun's
-	out1, err := harness.Run(prime)
-	if err != nil {
-		fatalf("priming run: %v", err)
-	}
-	st := store.Stats()
-	fmt.Printf("prime: %s\n  store: %d manifests, %d chunks, %d bytes\n", out1, st.Manifests, st.Chunks, st.UsedBytes)
-	if out1.TimedOut {
-		fatalf("FAIL: priming run timed out")
-	}
-
 	p.InputDelta = delta
-	p.DeltaSalt = 1
-	out2, err := harness.Run(p)
+	inc, err := harness.RunIncremental(p)
 	if err != nil {
-		fatalf("delta rerun: %v", err)
+		fatalf("FAIL: %v", err)
 	}
+	out1, out2, st := inc.Prime, inc.Rerun, inc.Store
+	fmt.Printf("prime: %s\n  store: %d manifests, %d chunks, %d bytes\n", out1, st.Manifests, st.Chunks, st.UsedBytes)
 	m := out2.Metrics.Named
 	launched1 := out1.Metrics.Named["obs.task_launched"]
 	launched2 := m["obs.task_launched"]
@@ -249,13 +192,9 @@ func runIncr(base harness.Params, rate string, delta float64) {
 
 // runJobs drives the multi-job path: n concurrent jobs drawn round-robin
 // from the mix cycle, all sharing one cluster under the job manager.
-func runJobs(base harness.Params, n int, mix, rate string, stagger, requireSpeedup float64) {
+func runJobs(base harness.Params, n int, mix string, stagger, requireSpeedup float64) {
 	p := base
 	p.Engine = harness.EnginePado
-	var ok bool
-	if p.Rate, ok = parseRate(rate); !ok {
-		fatalf("unknown rate %q", rate)
-	}
 	cycle := strings.Split(mix, ",")
 	for i := 0; i < n; i++ {
 		name := strings.TrimSpace(cycle[i%len(cycle)])
@@ -266,9 +205,9 @@ func runJobs(base harness.Params, n int, mix, rate string, stagger, requireSpeed
 			}
 			name = name[:at]
 		}
-		w, ok := parseWorkload(name)
-		if !ok {
-			fatalf("unknown workload %q in -mix", name)
+		w, err := harness.ParseWorkload(name)
+		if err != nil {
+			fatalf("-mix: %v", err)
 		}
 		p.Jobs = append(p.Jobs, harness.JobSpec{
 			Workload:       w,
@@ -305,44 +244,6 @@ func runJobs(base harness.Params, n int, mix, rate string, stagger, requireSpeed
 			fatalf("FAIL: speedup %.2fx below required %.2fx", sp, requireSpeedup)
 		}
 	}
-}
-
-func parseEngine(s string) (harness.Engine, bool) {
-	switch strings.ToLower(s) {
-	case "spark":
-		return harness.EngineSpark, true
-	case "spark-checkpoint", "ck", "checkpoint":
-		return harness.EngineSparkCheckpoint, true
-	case "pado":
-		return harness.EnginePado, true
-	}
-	return 0, false
-}
-
-func parseWorkload(s string) (harness.Workload, bool) {
-	switch strings.ToLower(s) {
-	case "als":
-		return harness.WorkloadALS, true
-	case "mlr":
-		return harness.WorkloadMLR, true
-	case "mr":
-		return harness.WorkloadMR, true
-	}
-	return 0, false
-}
-
-func parseRate(s string) (trace.Rate, bool) {
-	switch strings.ToLower(s) {
-	case "none":
-		return trace.RateNone, true
-	case "low":
-		return trace.RateLow, true
-	case "medium", "med":
-		return trace.RateMedium, true
-	case "high":
-		return trace.RateHigh, true
-	}
-	return 0, false
 }
 
 func fatalf(format string, args ...any) {

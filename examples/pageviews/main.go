@@ -17,6 +17,7 @@ import (
 	"pado/internal/dag"
 	"pado/internal/data"
 	"pado/internal/engines/sparklike"
+	"pado/internal/harness"
 	"pado/internal/runtime"
 	"pado/internal/trace"
 	"pado/internal/vtime"
@@ -26,18 +27,9 @@ import (
 func main() {
 	rateName := flag.String("rate", "high", "eviction rate: none, low, medium, high")
 	flag.Parse()
-	var rate trace.Rate
-	switch *rateName {
-	case "none":
-		rate = trace.RateNone
-	case "low":
-		rate = trace.RateLow
-	case "medium":
-		rate = trace.RateMedium
-	case "high":
-		rate = trace.RateHigh
-	default:
-		log.Fatalf("unknown rate %q", *rateName)
+	rate, err := harness.ParseRate(*rateName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := workloads.MRConfig{Partitions: 16, LinesPerPart: 4000, Docs: 8000, Seed: 5}

@@ -141,7 +141,10 @@ func (d *Decoder) Float64() (float64, error) {
 func (d *Decoder) Byte() (byte, error) { return d.r.ReadByte() }
 
 // Bytes reads a length-prefixed byte slice. maxLen guards against corrupt
-// streams; pass 0 for the 1GiB default.
+// streams; pass 0 for the 1GiB default. The slice grows as bytes arrive
+// (see grow), so a declared length the stream does not back costs one
+// readStep plus a small multiple of the bytes actually read, not the
+// declared length.
 func (d *Decoder) Bytes(maxLen int) ([]byte, error) {
 	n, err := d.Uvarint()
 	if err != nil {
@@ -154,9 +157,13 @@ func (d *Decoder) Bytes(maxLen int) ([]byte, error) {
 	if n > limit {
 		return nil, fmt.Errorf("data: length %d exceeds limit %d", n, limit)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		return nil, err
+	b := []byte{}
+	for uint64(len(b)) < n {
+		read := len(b)
+		b = grow(b, n, readStep)
+		if _, err := io.ReadFull(d.r, b[read:]); err != nil {
+			return nil, err
+		}
 	}
 	return b, nil
 }
@@ -167,7 +174,8 @@ func (d *Decoder) String() (string, error) {
 	return string(b), err
 }
 
-// Float64s reads a length-prefixed slice of doubles.
+// Float64s reads a length-prefixed slice of doubles, growing the slice
+// as values arrive like Bytes does.
 func (d *Decoder) Float64s() ([]float64, error) {
 	n, err := d.Uvarint()
 	if err != nil {
@@ -176,11 +184,35 @@ func (d *Decoder) Float64s() ([]float64, error) {
 	if n > 1<<27 {
 		return nil, fmt.Errorf("data: float64 slice length %d too large", n)
 	}
-	v := make([]float64, n)
-	for i := range v {
-		if v[i], err = d.Float64(); err != nil {
-			return nil, err
+	v := []float64{}
+	for uint64(len(v)) < n {
+		i := len(v)
+		for v = grow(v, n, readStep/8); i < len(v); i++ {
+			if v[i], err = d.Float64(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return v, nil
+}
+
+// readStep is the first allocation, in bytes, for a length-prefixed
+// value whose length the stream has not yet backed with data.
+const readStep = 64 << 10
+
+// grow returns s extended toward n elements: to step on the first call,
+// then doubling, never past n. Decoders fill each extension from the
+// stream before growing again, so past the first step every allocation
+// is at most twice the elements already read.
+func grow[T any](s []T, n uint64, step int) []T {
+	size := uint64(step)
+	if len(s) > 0 {
+		size = 2 * uint64(len(s))
+	}
+	if size > n {
+		size = n
+	}
+	g := make([]T, size)
+	copy(g, s)
+	return g
 }

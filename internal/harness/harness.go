@@ -13,6 +13,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,6 +22,8 @@ import (
 	"pado/internal/chaos"
 	"pado/internal/cluster"
 	"pado/internal/core"
+	"pado/internal/dag"
+	"pado/internal/data"
 	"pado/internal/dataflow"
 	"pado/internal/engines/sparklike"
 	"pado/internal/introspect"
@@ -226,6 +229,19 @@ type Outcome struct {
 	// ReportPath is the analyzer report written for this run (ReportDir
 	// set only; the last repeat's path when averaging).
 	ReportPath string
+
+	// Outputs are the job's terminal outputs, by sink vertex.
+	Outputs map[dag.VertexID][]data.Record
+	// Events is the run's event stream (traced runs only).
+	Events []obs.Event
+
+	// stageParents are the executed plan's stage edges, for Report.
+	stageParents map[int][]int
+}
+
+// Report analyzes the run's event stream into an analyzer report.
+func (o Outcome) Report() *analyze.Report {
+	return analyze.Analyze(o.Events, o.Params.analyzeOptions(o.Metrics, o.stageParents))
 }
 
 // String renders one outcome row.
@@ -374,8 +390,50 @@ func Run(p Params) (Outcome, error) {
 	return sum, nil
 }
 
+// Incremental is the outcome of a delta-rerun cell (RunIncremental).
+type Incremental struct {
+	Prime, Rerun Outcome
+	// Store is the commit store as the priming run left it.
+	Store storage.CommitStats
+}
+
+// RunIncremental runs a delta-rerun cell on the Pado engine: p once on
+// clean input to prime a fresh commit store, then p again against that
+// store with p.InputDelta of the input changed (DeltaSalt 1). Both runs
+// are traced, because only the traced obs.task_launched counter sees
+// skips (OriginalTasks counts a stage's full task total at schedule
+// time). The priming run writes no report and runs no chaos plan or
+// introspection plane; the rerun is the cell's.
+func RunIncremental(p Params) (Incremental, error) {
+	p = p.withDefaults()
+	if p.Engine != EnginePado {
+		return Incremental{}, fmt.Errorf("harness: incremental runs need the pado engine (the baselines have no commit store)")
+	}
+	store := storage.NewCommitStore()
+	p.CommitStore = store
+	p.ForceTrace = true
+	p.Repeats = 1 // repeats reseed the input, which would defeat the store
+	p.DeltaSalt = 1
+
+	prime := p
+	prime.InputDelta = 0
+	prime.ReportDir, prime.Chaos, prime.HTTPAddr = "", nil, ""
+	var inc Incremental
+	var err error
+	if inc.Prime, err = runOnce(prime); err != nil {
+		return Incremental{}, fmt.Errorf("priming run: %w", err)
+	}
+	if inc.Prime.TimedOut {
+		return Incremental{}, fmt.Errorf("priming run timed out after %.0f paper minutes", p.TimeoutMinutes)
+	}
+	inc.Store = store.Stats()
+	if inc.Rerun, err = runOnce(p); err != nil {
+		return Incremental{}, fmt.Errorf("delta rerun: %w", err)
+	}
+	return inc, nil
+}
+
 func runOnce(p Params) (Outcome, error) {
-	pipe := p.pipeline()
 	cl, err := p.newCluster()
 	if err != nil {
 		return Outcome{}, err
@@ -396,18 +454,15 @@ func runOnce(p Params) (Outcome, error) {
 		defer engine.Stop()
 	}
 
-	var snap metrics.Snapshot
-	var report *chaos.Report
-	var injections []chaos.Injection
-	var stageParents map[int][]int
+	out := Outcome{Params: p}
 	switch p.Engine {
 	case EnginePado:
-		cfg, err := p.padoRuntimeConfig(tracer, engine)
+		plan, cfg, err := p.padoPlan(tracer, engine)
 		if err != nil {
 			return Outcome{}, err
 		}
 		if p.HTTPAddr != "" {
-			// The single-job manager only exists inside runtime.Run;
+			// The single-job manager only exists inside runtime.RunPlan;
 			// OnManager hands it to the introspection plane as soon as it
 			// starts, and the server comes down with the run.
 			var srv *introspect.Server
@@ -428,20 +483,12 @@ func runOnce(p Params) (Outcome, error) {
 				fmt.Fprintf(os.Stderr, "introspection plane listening on http://%s\n", srv.Addr())
 			}
 		}
-		res, err := runtime.Run(ctx, cl, pipe.Graph(), cfg)
+		res, err := runtime.RunPlan(ctx, cl, plan, cfg)
 		if err != nil {
 			return Outcome{}, err
 		}
-		snap = res.Metrics
-		stageParents = make(map[int][]int, len(res.Plan.Stages))
-		for _, ps := range res.Plan.Stages {
-			stageParents[ps.ID] = ps.Parents
-		}
-		if engine != nil {
-			engine.Stop()
-			injections = engine.Injections()
-			report = chaos.Check(tracer.Events(), stageParents)
-		}
+		out.Outputs, out.Metrics = res.Outputs, res.Metrics
+		out.stageParents = padoStageParents(res.Plan)
 	default:
 		cfg := sparklike.Config{Checkpoint: p.Engine == EngineSparkCheckpoint, Tracer: tracer}
 		cfg.StorageDiskBW = storageDiskBW
@@ -450,41 +497,62 @@ func runOnce(p Params) (Outcome, error) {
 		cfg.FetchRetries = 1
 		cfg.FetchRetryWait = p.Scale.Wall(0.1)
 		cfg.Plan.ReduceParallelism = 2 * p.Reserved
-		res, err := sparklike.Run(ctx, cl, pipe.Graph(), cfg)
+		res, err := sparklike.Run(ctx, cl, p.pipeline().Graph(), cfg)
 		if err != nil {
 			return Outcome{}, err
 		}
-		snap = res.Metrics
-		stageParents = make(map[int][]int, len(res.Plan.Stages))
-		for _, ps := range res.Plan.Stages {
-			stageParents[ps.ID] = ps.Parents
-		}
-		if engine != nil {
-			engine.Stop()
-			injections = engine.Injections()
-		}
+		out.Outputs, out.Metrics = res.Outputs, res.Metrics
+		out.stageParents = stageParents(res.Plan.Stages, func(s *sparklike.SStage) (int, []int) { return s.ID, s.Parents })
+	}
+
+	if engine != nil {
+		engine.Stop()
+		out.Injections = engine.Injections()
+	}
+	if tracer != nil {
+		out.Events = tracer.Events()
+	}
+	if engine != nil && p.Engine == EnginePado {
+		out.Chaos = chaos.Check(out.Events, out.stageParents)
+	}
+	out.TimedOut = out.Metrics.TimedOut
+	out.JCTMinutes = p.Scale.Minutes(out.Metrics.JCT)
+	if out.TimedOut {
+		out.JCTMinutes = p.TimeoutMinutes
 	}
 
 	if p.TraceDir != "" {
-		if err := writeTraces(p, tracer); err != nil {
+		if err := writeTraces(out); err != nil {
 			return Outcome{}, err
 		}
 	}
-
-	var reportPath string
 	if p.ReportDir != "" {
-		var err error
-		if reportPath, err = writeReport(p, tracer, stageParents, snap); err != nil {
+		out.ReportPath = filepath.Join(p.ReportDir, exportBase(p)+".report.json")
+		if err := saveReport(out.ReportPath, out.Report()); err != nil {
 			return Outcome{}, err
 		}
 	}
+	return out, nil
+}
 
-	jct := p.Scale.Minutes(snap.JCT)
-	if snap.TimedOut {
-		jct = p.TimeoutMinutes
+// Plan compiles the plan the Pado engine runs for this cell.
+func (p Params) Plan() (*core.Plan, error) {
+	p = p.withDefaults()
+	p.Engine = EnginePado
+	plan, _, err := p.padoPlan(nil, nil)
+	return plan, err
+}
+
+// padoPlan assembles the cell's Pado runtime configuration and compiles
+// the cell's pipeline under it: the one compile point for runs (Run,
+// RunJobsSerial) and printed plans (Plan).
+func (p Params) padoPlan(tracer *obs.Tracer, engine *chaos.Engine) (*core.Plan, runtime.Config, error) {
+	cfg, err := p.padoRuntimeConfig(tracer, engine)
+	if err != nil {
+		return nil, runtime.Config{}, err
 	}
-	return Outcome{Params: p, JCTMinutes: jct, TimedOut: snap.TimedOut, Metrics: snap,
-		Chaos: report, Injections: injections, ReportPath: reportPath}, nil
+	plan, err := core.Compile(p.pipeline().Graph(), cfg.Plan)
+	return plan, cfg, err
 }
 
 // padoRuntimeConfig assembles the Pado runtime configuration for one
@@ -521,12 +589,24 @@ func (p Params) padoRuntimeConfig(tracer *obs.Tracer, engine *chaos.Engine) (run
 	return cfg, nil
 }
 
-// writeReport analyzes one run's event stream and writes the report
-// JSON under p.ReportDir, returning the written path.
-func writeReport(p Params, tracer *obs.Tracer, stageParents map[int][]int, snap metrics.Snapshot) (string, error) {
-	if err := os.MkdirAll(p.ReportDir, 0o755); err != nil {
-		return "", err
+// stageParents maps each stage id of an executed plan to its parent
+// stage ids: the causal edges the analyzer and the chaos checker walk.
+func stageParents[S any](stages []S, edges func(S) (id int, parents []int)) map[int][]int {
+	m := make(map[int][]int, len(stages))
+	for _, s := range stages {
+		id, parents := edges(s)
+		m[id] = parents
 	}
+	return m
+}
+
+func padoStageParents(plan *core.Plan) map[int][]int {
+	return stageParents(plan.Stages, func(s *core.PhysStage) (int, []int) { return s.ID, s.Parents })
+}
+
+// analyzeOptions identifies one run to the analyzer: its stage edges,
+// scale, JCT, cell and counters.
+func (p Params) analyzeOptions(snap metrics.Snapshot, stageParents map[int][]int) analyze.Options {
 	opts := analyze.Options{
 		StageParents: stageParents,
 		Scale:        analyze.ScaleInfo{WallPerMinute: p.Scale.WallPerMinute},
@@ -541,9 +621,15 @@ func writeReport(p Params, tracer *obs.Tracer, stageParents map[int][]int, snap 
 	if p.Engine == EnginePado {
 		opts.Policy = p.policyLabel()
 	}
-	rep := analyze.Analyze(tracer.Events(), opts)
-	path := filepath.Join(p.ReportDir, exportBase(p)+".report.json")
-	return path, rep.Save(path)
+	return opts
+}
+
+// saveReport writes rep to path, creating its directory if needed.
+func saveReport(path string, rep *analyze.Report) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("harness: report dir: %w", err)
+	}
+	return rep.Save(path)
 }
 
 // exportBase names one run's export files by its experiment cell. A
@@ -565,31 +651,36 @@ func exportBase(p Params) string {
 }
 
 // writeTraces exports one run's event stream as a Chrome trace and a text
-// timeline under p.TraceDir.
-func writeTraces(p Params, tracer *obs.Tracer) error {
+// timeline under its TraceDir.
+func writeTraces(o Outcome) error {
+	p := o.Params
 	if err := os.MkdirAll(p.TraceDir, 0o755); err != nil {
 		return err
 	}
-	events := tracer.Events()
-	base := exportBase(p)
-	chrome, err := os.Create(filepath.Join(p.TraceDir, base+".trace.json"))
+	base := filepath.Join(p.TraceDir, exportBase(p))
+	if err := WriteExport(base+".trace.json", func(w io.Writer) error {
+		return obs.WriteChromeTrace(w, o.Events, p.Scale)
+	}); err != nil {
+		return err
+	}
+	return WriteExport(base+".timeline.txt", func(w io.Writer) error {
+		return obs.WriteTimeline(w, o.Events, p.Scale)
+	})
+}
+
+// WriteExport writes one export to the file at path, or to stdout when
+// path is "-".
+func WriteExport(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteChromeTrace(chrome, events, p.Scale); err != nil {
-		chrome.Close()
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	if err := chrome.Close(); err != nil {
-		return err
-	}
-	timeline, err := os.Create(filepath.Join(p.TraceDir, base+".timeline.txt"))
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteTimeline(timeline, events, p.Scale); err != nil {
-		timeline.Close()
-		return err
-	}
-	return timeline.Close()
+	return f.Close()
 }

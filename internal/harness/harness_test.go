@@ -9,8 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"pado/internal/core"
+	"pado/internal/chaos"
 	"pado/internal/dag"
+	"pado/internal/metrics"
 	"pado/internal/obs/analyze"
 	"pado/internal/runtime"
 	"pado/internal/trace"
@@ -58,11 +59,25 @@ func TestRunAllEnginesTiny(t *testing.T) {
 	}
 }
 
+// evictMidPush scripts an eviction on the job's 2nd push_started, as
+// examples/chaos/midpush-evict.json does: a random eviction at rate high
+// may only fire after a tiny job has already finished.
+func evictMidPush(t *testing.T) *chaos.Plan {
+	t.Helper()
+	plan, err := chaos.Parse([]byte(`{"name": "evict-mid-push", "rules": [{"id": "evict-mid-push",
+		"trigger": {"on": "push_started", "count": 2}, "fault": {"op": "evict", "target": "@event"}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 func TestRunWithEvictions(t *testing.T) {
 	p := tinyParams()
 	p.Engine = EnginePado
 	p.Workload = WorkloadMR
 	p.Rate = trace.RateHigh
+	p.Chaos = evictMidPush(t)
 	out, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -110,6 +125,7 @@ func TestTraceDirWritesExports(t *testing.T) {
 	p.Engine = EnginePado
 	p.Workload = WorkloadMR
 	p.Rate = trace.RateHigh
+	p.Chaos = evictMidPush(t)
 	p.TraceDir = dir
 	if _, err := Run(p); err != nil {
 		t.Fatal(err)
@@ -209,15 +225,9 @@ func TestCostModelBeatsAllTransient(t *testing.T) {
 	// baseline's.
 	p := pinned()
 	reservedSet := func(policy string) map[string]bool {
-		pol, err := core.PolicyByName(policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := core.Compile(p.pipeline().Graph(), core.PlanConfig{
-			ReduceParallelism: 2 * p.Reserved,
-			Policy:            pol,
-			Env:               p.clusterConfig().PlacementEnv(),
-		})
+		q := p
+		q.Policy = policy
+		plan, err := q.Plan()
 		if err != nil {
 			t.Fatalf("compile %q: %v", policy, err)
 		}
@@ -341,5 +351,71 @@ func TestEngineWorkloadStrings(t *testing.T) {
 	}
 	if WorkloadALS.String() != "ALS" || WorkloadMR.String() != "MR" || WorkloadMLR.String() != "MLR" {
 		t.Error("workload names wrong")
+	}
+}
+
+// TestRunIncremental: the delta rerun is served from the store the
+// priming run filled, launching under 10% of the priming run's tasks.
+func TestRunIncremental(t *testing.T) {
+	p := tinyParams()
+	p.Engine = EnginePado
+	p.Workload = WorkloadMR
+	p.Rate = trace.RateNone
+	p.InputDelta = 0.02
+	inc, err := RunIncremental(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc.Rerun.TimedOut || inc.Store.Manifests == 0 {
+		t.Fatalf("rerun timed out or store empty: %+v", inc.Store)
+	}
+	m := inc.Rerun.Metrics.Named
+	if m[metrics.NameStagesSkipped]+m[metrics.NameTasksSkipped] == 0 {
+		t.Error("delta rerun skipped nothing")
+	}
+	launched1 := inc.Prime.Metrics.Named["obs.task_launched"]
+	launched2 := m["obs.task_launched"]
+	if launched1 == 0 || launched2*10 >= launched1 {
+		t.Errorf("rerun launched %d of the priming run's %d tasks (bound: under 10%%)", launched2, launched1)
+	}
+
+	p.Engine = EngineSpark
+	if _, err := RunIncremental(p); err == nil {
+		t.Error("incremental run on the spark engine: want an error")
+	}
+}
+
+// TestChaosOutcomeOutputs: a chaos run's Outcome carries the job's
+// terminal outputs, so the checker's digest over them is reproducible
+// and the outputs match a fault-free run.
+func TestChaosOutcomeOutputs(t *testing.T) {
+	p := tinyParams()
+	p.Engine = EnginePado
+	p.Workload = WorkloadMR
+	p.Rate = trace.RateNone
+	clean, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Chaos = evictMidPush(t)
+	var digests []string
+	for i := 0; i < 2; i++ {
+		out, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Chaos == nil || !out.Chaos.OK() || len(out.Injections) == 0 {
+			t.Fatalf("chaos run: report %v, %d injections", out.Chaos, len(out.Injections))
+		}
+		if len(out.Outputs) == 0 || len(out.Events) == 0 {
+			t.Fatalf("outcome carries %d outputs, %d events", len(out.Outputs), len(out.Events))
+		}
+		if !bytes.Equal(chaos.Canonical(out.Outputs), chaos.Canonical(clean.Outputs)) {
+			t.Error("chaos run's outputs differ from the fault-free run's")
+		}
+		digests = append(digests, out.Chaos.Digest(chaos.Canonical(out.Outputs)))
+	}
+	if digests[0] != digests[1] {
+		t.Errorf("digest differs across identical chaos runs: %s vs %s", digests[0], digests[1])
 	}
 }

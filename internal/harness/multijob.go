@@ -288,10 +288,7 @@ func RunJobs(p Params) (MultiOutcome, error) {
 			if jo.TimedOut {
 				jo.JCTMinutes = p.TimeoutMinutes
 			}
-			parents := make(map[int][]int, len(res.Plan.Stages))
-			for _, ps := range res.Plan.Stages {
-				parents[ps.ID] = ps.Parents
-			}
+			parents := padoStageParents(res.Plan)
 			jo.Chaos = chaos.CheckJob(events, jo.JobID, parents)
 			jo.Digest = jo.Chaos.Digest(chaos.Canonical(res.Outputs))
 			if p.ReportDir != "" {
@@ -320,35 +317,18 @@ func RunJobs(p Params) (MultiOutcome, error) {
 // writeJobReport writes one job-scoped (or, with job 0, fleet-aggregate)
 // analyzer report into p.ReportDir.
 func writeJobReport(p Params, events []obs.Event, stageParents map[int][]int, snap metrics.Snapshot, job int, label string) (string, error) {
-	opts := analyze.Options{
-		StageParents: stageParents,
-		Scale:        analyze.ScaleInfo{WallPerMinute: p.Scale.WallPerMinute},
-		JCT:          snap.JCT,
-		TimedOut:     snap.TimedOut,
-		Engine:       strings.ToLower(p.Engine.String()),
-		Workload:     strings.ToLower(p.Workload.String()),
-		Rate:         p.Rate.String(),
-		Seed:         p.Seed,
-		Job:          job,
-		Policy:       p.policyLabel(),
-		Snapshot:     &snap,
-	}
+	opts := p.analyzeOptions(snap, stageParents)
+	opts.Job = job
+	base := exportBase(p)
 	if job == 0 {
 		opts.Workload = "multi"
 		opts.Policy = ""
-	}
-	rep := analyze.Analyze(events, opts)
-	if err := os.MkdirAll(p.ReportDir, 0o755); err != nil {
-		return "", fmt.Errorf("harness: report dir: %w", err)
-	}
-	base := exportBase(p)
-	if job == 0 {
 		// The aggregate spans workloads; exportBase's single-workload
 		// name would mislabel it.
 		base = strings.ToLower(fmt.Sprintf("%s-multi-%s-seed%d", p.Engine, p.Rate, p.Seed))
 	}
 	path := filepath.Join(p.ReportDir, base+"-"+label+".report.json")
-	return path, rep.Save(path)
+	return path, saveReport(path, analyze.Analyze(events, opts))
 }
 
 // RunJobsSerial runs the same specs one after another, each on a fresh
